@@ -19,7 +19,12 @@ from repro.graph.config import (
     GraphError,
     GraphNode,
 )
-from repro.graph.exemplar import exemplar_graph, onehop_graph, pipeline_graph
+from repro.graph.exemplar import (
+    exemplar_graph,
+    onehop_graph,
+    pipeline_graph,
+    service_graph,
+)
 from repro.graph.granularity import (
     coarsen_once,
     merge_edge,
@@ -41,6 +46,7 @@ __all__ = [
     "monolith",
     "onehop_graph",
     "pipeline_graph",
+    "service_graph",
     "split_node",
     "work_per_query",
 ]

@@ -12,11 +12,19 @@ the graph sweep uses to measure how depth amplifies a single slow hop.
 In both graphs the storage node is terminal index 0 (declaration order),
 so one :class:`~repro.faults.LeafSlowdown` plan targets the same "deep
 leaf" in either topology.
+
+:func:`service_graph` is the shape of μSuite's four services themselves
+(paper §III): one mid-tier fanning out to N leaves, with the mid-tier's
+knobs taken from a :class:`~repro.suite.config.ServiceScale`.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.graph.config import GraphConfig, GraphEdge, GraphNode
+from repro.rpc.server import RuntimeConfig
+from repro.suite.config import ServiceScale
 
 
 def exemplar_graph(n_queries: int = 2000) -> GraphConfig:
@@ -104,4 +112,43 @@ def onehop_graph(n_queries: int = 2000) -> GraphConfig:
     )
 
 
-__all__ = ["exemplar_graph", "onehop_graph", "pipeline_graph"]
+def service_graph(
+    name: str,
+    scale: ServiceScale,
+    leaves: Sequence[str],
+    leaf_cores: int,
+    midtier_cores: int,
+    midtier_runtime: RuntimeConfig,
+) -> GraphConfig:
+    """A μSuite service's one-hop graph: root ``mid`` → each of ``leaves``.
+
+    ``leaves`` are declared in leaf-index order, so fault plans and the
+    mid-tier app's sub-request indices address them as before.  The root
+    takes its replicas, balancer, batching, cache, control and runtime
+    from ``scale``; the synthetic-workload fields keep their defaults
+    because the service supplies its own apps and queries.
+    """
+    return GraphConfig(
+        name=name,
+        root="mid",
+        nodes=(
+            GraphNode(
+                name="mid",
+                cores=midtier_cores,
+                replicas=scale.topology.midtier_replicas,
+                lb=scale.lb,
+                batch=scale.batch,
+                cache=scale.cache,
+                control=scale.control,
+                runtime=midtier_runtime,
+            ),
+            *(
+                GraphNode(name=leaf, cores=leaf_cores, runtime=scale.leaf_runtime)
+                for leaf in leaves
+            ),
+        ),
+        edges=tuple(GraphEdge(src="mid", dst=leaf) for leaf in leaves),
+    )
+
+
+__all__ = ["exemplar_graph", "onehop_graph", "pipeline_graph", "service_graph"]

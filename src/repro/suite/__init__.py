@@ -10,12 +10,7 @@ Typical use::
     print(result.e2e.summary())
 """
 
-from repro.suite.cluster import (
-    RunResult,
-    ServiceHandle,
-    SimCluster,
-    build_midtier_replicas,
-)
+from repro.suite.cluster import RunResult, ServiceHandle, SimCluster
 from repro.suite.config import (
     SCALES,
     BatchConfig,
@@ -41,6 +36,5 @@ __all__ = [
     "SimCluster",
     "TopologyConfig",
     "TraceConfig",
-    "build_midtier_replicas",
     "build_service",
 ]

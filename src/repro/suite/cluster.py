@@ -17,10 +17,7 @@ from repro.kernel import Machine, MachineSpec, OsCosts
 from repro.kernel.scheduler import PlacementPolicy
 from repro.loadgen import ClosedLoopLoadGen, OpenLoopLoadGen, QuerySource
 from repro.loadgen.client import E2E_HIST
-from repro.midcache import CacheConfig, QueryCache
 from repro.net import Fabric, LinkSpec
-from repro.rpc.adaptive import make_midtier_runtime
-from repro.rpc.batching import BatchConfig
 from repro.rpc.loadbalance import LoadBalancer
 from repro.rpc.server import LeafRuntime, MidTierRuntime
 from repro.sim import RngStreams, Simulation
@@ -128,120 +125,6 @@ class SimCluster:
         # Releases the telemetry spill stream (a no-op for buffered mode
         # and for streams already folded by finalized()).
         self.telemetry.close()
-
-
-def build_midtier_replicas(
-    cluster: SimCluster,
-    scale,
-    name_prefix: str,
-    cores: int,
-    app,
-    leaf_addrs,
-    config,
-    midtier_policy=None,
-    tail_policy=None,
-    port: int = 40,
-):
-    """Provision ``scale.topology.midtier_replicas`` mid-tier runtimes, all fanning
-    out to the same leaf shards, plus the front-end balancer when N > 1.
-
-    Every service builder routes its mid-tier construction through here.
-    With one replica (the default) the machine keeps its historical
-    ``<prefix>-mid`` name, no balancer is registered, and no additional
-    randomness is drawn — the single-replica topology stays bit-identical
-    to the paper's.  Returns ``(runtimes, machines, frontend)`` where
-    ``frontend`` is None for the single-replica case.
-    """
-    # Closed-loop control (repro.control).  When enabled the cluster
-    # provisions max_replicas machines up front (a warm pool the
-    # controller activates/drains through the balancer) and a Controller
-    # ticking on the event calendar; disabled (the default) constructs
-    # none of it and the topology below is byte-for-byte the historical
-    # one.
-    control = scale.control
-    use_control = control.enabled
-    n_replicas = (
-        control.max_replicas if use_control else scale.topology.midtier_replicas
-    )
-    if use_control and cluster.telemetry.windows is None:
-        cluster.telemetry.enable_windows(
-            control.window_us,
-            prefixes=("e2e_latency", "midtier_latency:", "runqlat:", "ctrl_"),
-        )
-    # Batching / caching knobs (repro.rpc.batching, repro.midcache).  Both
-    # default off: the configs below stay None, the runtimes construct
-    # nothing extra, and pre-existing goldens are bit-identical.
-    batch_config = None
-    if scale.batch.enabled:
-        batch_config = BatchConfig(
-            max_batch=scale.batch.max_batch, max_wait_us=scale.batch.max_wait_us
-        )
-    cache_config = None
-    if scale.cache.enabled:
-        cache_config = CacheConfig(
-            capacity=scale.cache.capacity,
-            ttl_us=scale.cache.ttl_us,
-            policy=scale.cache.policy,
-        )
-
-    def _make_cache():
-        # One private cache per replica, like a replica-local memcached.
-        return QueryCache(cache_config) if cache_config is not None else None
-
-    def _attach_controller(runtimes, machines, frontend):
-        controller = Controller(
-            cluster.sim,
-            cluster.telemetry,
-            control,
-            name=f"{name_prefix}-ctrl",
-            runtimes=runtimes,
-            lb=frontend,
-            signals=[E2E_HIST],
-            runq_machines=[machine.name for machine in machines],
-        )
-        cluster.controllers.append(controller)
-        controller.start()
-
-    if n_replicas <= 1:
-        machine = cluster.machine(
-            f"{name_prefix}-mid", cores=cores, policy=midtier_policy, role="midtier"
-        )
-        runtime = make_midtier_runtime(
-            machine, port=port, app=app, leaf_addrs=leaf_addrs, config=config,
-            tail_policy=tail_policy, batch_config=batch_config, cache=_make_cache(),
-        )
-        if use_control:
-            _attach_controller([runtime], [machine], None)
-        return [runtime], [machine], None
-    runtimes: List[MidTierRuntime] = []
-    machines: List[Machine] = []
-    for replica in range(n_replicas):
-        machine = cluster.machine(
-            f"{name_prefix}-mid{replica}", cores=cores, policy=midtier_policy,
-            role="midtier",
-        )
-        runtimes.append(
-            make_midtier_runtime(
-                machine, port=port, app=app, leaf_addrs=leaf_addrs, config=config,
-                tail_policy=tail_policy, batch_config=batch_config,
-                cache=_make_cache(),
-            )
-        )
-        machines.append(machine)
-    frontend = LoadBalancer(
-        cluster.sim,
-        cluster.fabric,
-        cluster.telemetry,
-        cluster.rng,
-        name=f"{name_prefix}-lb",
-        replicas=[runtime.address for runtime in runtimes],
-        policy=scale.lb.policy,
-        pool_size=scale.lb.pool_size,
-        initial_active=control.initial_replicas if use_control else None,
-    )
-    if use_control:
-        _attach_controller(runtimes, machines, frontend)
-    return runtimes, machines, frontend
 
 
 @dataclass

@@ -9,16 +9,21 @@ Three layers:
 * the builder — the committed exemplars instantiate, run, and complete;
   async edges fire without gating replies; per-node knobs (replicas,
   cache, batch) wire the same runtime machinery the suite services use;
+  a controlled inner node scales on its own mid-tier latency, and
+  control settings the cluster cannot honour are rejected up front;
 * bit-identity — a one-hop ``repro.graph`` topology produces the exact
   same per-request latencies as the same machines wired by hand through
   the suite's leaf/mid-tier path, so the graph layer adds *zero*
   behavior of its own.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.control import ControlConfig
 from repro.graph import (
     GraphConfig,
     GraphEdge,
@@ -282,6 +287,89 @@ def test_per_node_cache_and_batch_knobs_wire_runtime():
     assert plain.midtier.cache is None
     assert plain.midtier.batcher is None
     cluster.shutdown()
+
+
+# -- closed-loop control per node --------------------------------------------
+
+def _controlled_chain(p99_high_us, window_us=10_000.0):
+    """a -> b -> c with the inner node b under a threshold controller."""
+    control = ControlConfig(
+        enabled=True, policy="threshold", tick_us=10_000.0,
+        window_us=window_us, min_replicas=1, max_replicas=3,
+        initial_replicas=1, p99_high_us=p99_high_us, p99_low_us=0.0,
+        cooldown_us=10_000.0,
+    )
+    return GraphConfig(
+        name="g", root="a", n_queries=20,
+        nodes=(GraphNode(name="a"), GraphNode(name="b", control=control),
+               GraphNode(name="c")),
+        edges=(GraphEdge(src="a", dst="b"), GraphEdge(src="b", dst="c")),
+    )
+
+
+def _run_controlled(graph):
+    cluster = SimCluster(seed=0)
+    handle = build_graph(cluster, graph)
+    run_open_loop(
+        cluster, handle, qps=1_000.0, duration_us=100_000.0, warmup_us=20_000.0
+    )
+    cluster.shutdown()
+    return cluster, handle
+
+
+def test_controlled_inner_node_scales_on_its_own_latency():
+    cluster, handle = _run_controlled(_controlled_chain(p99_high_us=1.0))
+    assert [m.name for m in cluster.machines] == ["g-c", "g-b0", "g-b1", "g-b2", "g-a"]
+    (controller,) = cluster.controllers
+    lb = handle.extras["frontends"]["b"]
+    # Inner tiers keep node-qualified names and steer on their own
+    # machines' mid-tier latency, not on end-to-end latency.
+    assert controller.name == "g-b-ctrl"
+    assert lb.name == "g-b-lb"
+    assert controller.lb is lb
+    assert controller.signals == [
+        "midtier_latency:g-b0", "midtier_latency:g-b1", "midtier_latency:g-b2",
+    ]
+    assert controller.scale_ups > 0
+    assert lb.admitting_count > 1
+    # The root is unreplicated and uncontrolled: no front-end balancer.
+    assert handle.frontend is None
+    # Same deployment, a threshold the signal never crosses: no scaling,
+    # so the scale-ups above were driven by that signal.
+    cluster, handle = _run_controlled(_controlled_chain(p99_high_us=1e9))
+    assert cluster.controllers[0].scale_ups == 0
+    assert handle.extras["frontends"]["b"].admitting_count == 1
+
+
+def test_controlled_terminal_node_rejected():
+    graph = GraphConfig(
+        name="g", root="a", n_queries=10,
+        nodes=(GraphNode(name="a"),
+               GraphNode(name="b", control=ControlConfig(enabled=True))),
+        edges=(GraphEdge(src="a", dst="b"),),
+    )
+    cluster = SimCluster(seed=0)
+    with pytest.raises(GraphError, match=r"terminal node 'b' cannot be controlled"):
+        build_graph(cluster, graph)
+    assert cluster.machines == []
+
+
+def test_controlled_tiers_with_different_windows_rejected():
+    graph = _controlled_chain(p99_high_us=1.0)
+    root = replace(graph.node("a"), control=ControlConfig(enabled=True, window_us=50_000.0))
+    graph = replace(graph, nodes=(root,) + graph.nodes[1:])
+    cluster = SimCluster(seed=0)
+    with pytest.raises(GraphError, match=r"controlled node 'b' has control.window_us=10000.0"):
+        build_graph(cluster, graph)
+    # Rejected before anything is provisioned.
+    assert cluster.machines == []
+    assert cluster.telemetry.windows is None
+
+
+def test_caller_apps_must_cover_every_node():
+    graph = onehop_graph(n_queries=10)
+    with pytest.raises(GraphError, match=r"no app for node\(s\) store"):
+        build_graph(SimCluster(seed=0), graph, apps={"gateway": object()})
 
 
 # -- bit-identity against the hand-built suite path --------------------------
