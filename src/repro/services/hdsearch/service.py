@@ -38,6 +38,7 @@ class HdSearchLeafApp(LeafApp):
 
     def __init__(self, vectors: np.ndarray, leaf_index: int, n_leaves: int, cost: LinearCost):
         # Shard by point id modulo leaf count; local row = id // n_leaves.
+        # Candidate ids arrive as a list or an int64 array.
         self.leaf_index = leaf_index
         self.n_leaves = n_leaves
         self.shard = np.ascontiguousarray(vectors[leaf_index::n_leaves])
@@ -55,15 +56,13 @@ class HdSearchLeafApp(LeafApp):
         if cached is not None and cached[0] is request:
             return cached[1]
         _tag, query_vec, point_ids, k = request
-        if point_ids:
-            local_rows = np.fromiter(
-                (pid // self.n_leaves for pid in point_ids), dtype=np.int64
-            )
-            candidates = self.shard[local_rows]
+        if len(point_ids):
+            ids = np.asarray(point_ids, dtype=np.int64)
+            candidates = self.shard[ids // self.n_leaves]
             diffs = candidates - query_vec[None, :]
             dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
             order = np.argsort(dists)[:k]
-            top = [(int(point_ids[i]), float(dists[i])) for i in order]
+            top = list(zip(ids[order].tolist(), dists[order].tolist()))
         else:
             top = []
         units = len(point_ids) * self.dims

@@ -33,7 +33,7 @@ def test_lsh_candidates_respect_leaf_sharding():
     per_leaf = index.candidates(corpus.query())
     for leaf, ids in per_leaf.items():
         assert all(pid % 3 == leaf for pid in ids)
-        assert ids == sorted(ids)
+        assert list(ids) == sorted(ids)
 
 
 def test_lsh_recall_near_point_query():
@@ -69,6 +69,12 @@ def test_lsh_validates_args():
         LshIndex(corpus.vectors, n_leaves=2, hash_bits=0)
     with pytest.raises(ValueError):
         LshIndex(corpus.vectors[0], n_leaves=2)
+    # Zero tables used to build an index that returned no candidates, and
+    # a negative probe count used to act as zero.
+    with pytest.raises(ValueError, match="n_tables"):
+        LshIndex(corpus.vectors, n_leaves=2, n_tables=0)
+    with pytest.raises(ValueError, match="n_probes"):
+        LshIndex(corpus.vectors, n_leaves=2, n_probes=-1)
 
 
 def test_leaf_app_returns_sorted_topk():
@@ -90,6 +96,22 @@ def test_leaf_app_empty_candidates():
     leaf = HdSearchLeafApp(corpus.vectors, 0, 4, LinearCost(5.0, 0.01))
     result = leaf.handle(("knn", corpus.query(), [], 5))
     assert result.payload == []
+    result = leaf.handle(("knn", corpus.query(), np.empty(0, dtype=np.int64), 5))
+    assert result.payload == []
+
+
+def test_leaf_app_same_result_for_list_and_array_ids():
+    corpus = _corpus(n=400, dims=16, seed=9)
+    leaf = HdSearchLeafApp(corpus.vectors, leaf_index=2, n_leaves=4,
+                           cost=LinearCost(10.0, 0.001))
+    ids = [pid for pid in range(400) if pid % 4 == 2][:60]
+    query = corpus.query()
+    from_list = leaf.handle(("knn", query, ids, 7))
+    from_array = leaf.handle(("knn", query, np.array(ids, dtype=np.int64), 7))
+    assert from_array.payload == from_list.payload
+    assert from_array.compute_us == from_list.compute_us
+    assert from_array.size_bytes == from_list.size_bytes
+    assert all(type(pid) is int and type(d) is float for pid, d in from_array.payload)
 
 
 def test_midtier_merge_returns_global_topk():
